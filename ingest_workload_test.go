@@ -1,7 +1,8 @@
 // Tests for the external-trace workload sources (champsim:<path>,
 // csv:<path>): ingestion is deterministic across repeats and worker counts,
-// conversion round-trips through the native format, resolution errors
-// surface cleanly, and external-path results never reach a durable store.
+// conversion round-trips through the native format, a Session replays the
+// same stream as the Evaluator, resolution errors surface cleanly, and
+// external-path results never reach a durable store.
 package prophet_test
 
 import (
@@ -89,6 +90,36 @@ func TestExternalWorkloadConversionMatchesDirect(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("converted replay diverged from direct ingestion:\n file     %+v\n champsim %+v", got, want)
+	}
+}
+
+// TestExternalWorkloadSession: the Figure 5 loop on a champsim: workload —
+// Session Profile, Optimize, Run — matches the Evaluator's prophet scheme on
+// the same trace, and a repeated hinted run returns identical stats.
+func TestExternalWorkloadSession(t *testing.T) {
+	ctx := context.Background()
+	w, err := prophet.Find(champsimFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := prophet.New(prophet.WithWorkers(1))
+	want, err := ev.Run(ctx, w, prophet.Prophet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ev.NewSession()
+	if err := s.Profile(w); err != nil {
+		t.Fatal(err)
+	}
+	b := s.Optimize()
+	for i := 0; i < 2; i++ {
+		got, err := s.Run(ctx, b, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("session run %d diverged from the evaluator:\n session   %+v\n evaluator %+v", i+1, got, want)
+		}
 	}
 }
 

@@ -100,11 +100,12 @@ func NewEvaluator(cfg Config, workers int) *Evaluator {
 	}
 }
 
-// cachedFactory wraps a job's trace factory so all passes share one
-// materialized record slice. Concurrent callers for the same key coalesce on
-// the entry's once; the FIFO bound evicts old keys from the store, but
-// factories already handed out keep their entry alive until they are done.
-func cachedFactory(key string, f SourceFactory) SourceFactory {
+// CachedFactory wraps a trace factory so every simulation pass over key —
+// Evaluator jobs and Session passes alike — replays one materialized record
+// slice. Concurrent callers for the same key coalesce on the entry's once;
+// the FIFO bound evicts old keys from the store, but factories already
+// handed out keep their entry alive until they are done.
+func CachedFactory(key string, f SourceFactory) SourceFactory {
 	traceStore.Lock()
 	if traceStore.entries == nil {
 		traceStore.entries = map[string]*traceEntry{}
@@ -192,7 +193,7 @@ func (e *Evaluator) Run(ctx context.Context, job Job) Outcome {
 			job.Scheme, strings.Join(registry.Names(), ", "))
 		return out
 	}
-	job.Factory = cachedFactory(job.Key, job.Factory)
+	job.Factory = CachedFactory(job.Key, job.Factory)
 	out.Base = e.Baseline(job.Key, job.Factory)
 	if job.Scheme == "baseline" {
 		// The baseline scheme IS the cached run; don't simulate it twice.

@@ -1,5 +1,5 @@
 // Package pipeline orchestrates complete evaluation flows: baseline and
-// hardware-prefetcher runs, the RPG2 profile-and-tune flow, and Prophet's
+// hardware-prefetcher runs, the scheme-registry Evaluator, and Prophet's
 // three-step Profiling -> Analysis -> Learning loop from Figure 5.
 //
 // The package is the programmatic equivalent of the paper's methodology
@@ -13,15 +13,16 @@ import (
 	"prophet/internal/learning"
 	"prophet/internal/mem"
 	"prophet/internal/pmu"
-	"prophet/internal/rpg2"
 	"prophet/internal/sim"
 	"prophet/internal/triage"
 	"prophet/internal/triangel"
 
 	// Registered for their scheme-registry side effects: every binary that
-	// evaluates through the pipeline can resolve "gaze" and "adaptive".
+	// evaluates through the pipeline can resolve "rpg2", "gaze" and
+	// "adaptive".
 	_ "prophet/internal/adaptive"
 	_ "prophet/internal/gaze"
+	_ "prophet/internal/rpg2"
 )
 
 // SourceFactory produces a fresh deterministic trace for each run.
@@ -46,27 +47,6 @@ func RunTriangel(cfg sim.Config, tcfg triangel.Config, src mem.Source) sim.Stats
 	return sim.Run(cfg, triangel.New(tcfg), nil, nil, nil, src)
 }
 
-// --- RPG2 flow ---
-
-// RPG2Result carries the RPG2 evaluation outcome.
-type RPG2Result struct {
-	Stats    sim.Stats
-	Kernels  int
-	Distance int
-}
-
-// RunRPG2 performs the full RPG2 methodology: profile to find stride
-// kernels, tune the prefetch distance by binary search (on a shortened
-// trace), then run with the best distance. With no qualifying kernels the
-// scheme degenerates to the baseline, as on most SPEC workloads.
-//
-// Deprecated: the flow lives in rpg2.Evaluate and runs through the scheme
-// registry; use an Evaluator with the "rpg2" scheme instead.
-func RunRPG2(cfg sim.Config, factory SourceFactory, tuneRecords uint64) RPG2Result {
-	res := rpg2.Evaluate(cfg, sim.Opts{}, factory, tuneRecords, nil)
-	return RPG2Result{Stats: res.Stats, Kernels: res.Kernels, Distance: res.Distance}
-}
-
 // --- Prophet flow (Figure 5) ---
 
 // Config bundles the Prophet pipeline parameters.
@@ -76,9 +56,9 @@ type Config struct {
 	Analysis analysis.Params
 	// L is the Equation 4 designer parameter.
 	L int
-	// Run shapes how simulation passes execute (block size, intra-run
-	// parallelism). Results are bit-identical for every value, so Run is
-	// excluded from result cache keys and store fingerprints.
+	// Run shapes how simulation passes execute (block size). Results are
+	// bit-identical for every value, so Run is excluded from result cache
+	// keys and store fingerprints.
 	Run sim.Opts
 }
 
@@ -131,19 +111,16 @@ func (p *Prophet) ProfileAndLearn(src mem.Source) {
 	p.Learn(p.Profile(src))
 }
 
-// Analyze executes Step 2: generate hints from the merged profile. The
-// per-PC metadata scan shards across the run's derated intra-run worker
-// budget; the merge is deterministic, so the result is identical at every
-// width.
+// Analyze executes Step 2: generate hints from the merged profile.
 func (p *Prophet) Analyze() analysis.Result {
 	if !p.fresh {
-		p.result = analysis.AnalyzeWith(p.profile, p.cfg.Analysis, sim.IntraRunWorkers(p.cfg.Run.Parallelism))
+		p.result = analysis.Analyze(p.profile, p.cfg.Analysis)
 		p.fresh = true
 	}
 	return p.result
 }
 
-// Profile returns the persistent learning state (for inspection).
+// ProfileState returns the persistent learning state (for inspection).
 func (p *Prophet) ProfileState() *learning.Profile { return p.profile }
 
 // Engine builds a Prophet engine from the current hints with the given

@@ -41,9 +41,9 @@ type ProphetRunner interface {
 type Context struct {
 	// Sim is the simulated system configuration (Table 1 by default).
 	Sim sim.Config
-	// Opts shapes how the scheme's simulation passes execute (block size,
-	// intra-run parallelism). Results are bit-identical for every value;
-	// schemes pass it through to sim.RunOpts untouched.
+	// Opts shapes how the scheme's simulation passes execute (block size).
+	// Results are bit-identical for every value; schemes pass it through to
+	// sim.RunOpts untouched.
 	Opts sim.Opts
 	// Factory produces the workload trace; call once per simulation pass.
 	Factory SourceFactory

@@ -1,15 +1,14 @@
 // Package difftest is the differential equivalence harness behind the
 // block-batched hot loop. The simulator's contract is that sim.Opts shapes
-// HOW a run executes — block granularity, decode-ahead, intra-run worker
-// count — and never WHAT it computes: Stats must be bit-identical to the
-// record-at-a-time sequential reference at every block size and worker
-// count. This package replays the golden-corpus cells and generated
-// workloads through a matrix of execution shapes and diffs the full Stats
-// structs field by field; a single diverging counter fails the build.
+// HOW a run executes — its block granularity — and never WHAT it computes:
+// Stats must be bit-identical to the record-at-a-time sequential reference
+// at every block size. This package replays the golden-corpus cells and
+// generated workloads through a set of execution shapes and diffs the full
+// Stats structs field by field; a single diverging counter fails the build.
 //
-// CI drives the full matrix explicitly:
+// CI drives the block axis explicitly:
 //
-//	go test ./internal/sim/difftest -difftest.blocks=1,64,4096 -difftest.workers=1,4
+//	go test ./internal/sim/difftest -difftest.blocks=1,64,4096
 package difftest
 
 import (
@@ -29,18 +28,11 @@ type Variant struct {
 	Opts sim.Opts
 }
 
-// Matrix builds the cross product of block sizes and worker counts as named
-// variants. A worker count of 1 exercises the block loop alone; higher
-// counts add decode-ahead and the sharded scratch reset.
-func Matrix(blocks, workers []int) []Variant {
-	var out []Variant
-	for _, b := range blocks {
-		for _, w := range workers {
-			out = append(out, Variant{
-				Name: fmt.Sprintf("block=%d/workers=%d", b, w),
-				Opts: sim.Opts{BlockRecords: b, Parallelism: w},
-			})
-		}
+// Blocks names one block-batched variant per block size.
+func Blocks(blocks []int) []Variant {
+	out := make([]Variant, len(blocks))
+	for i, b := range blocks {
+		out[i] = Variant{Name: fmt.Sprintf("block=%d", b), Opts: sim.Opts{BlockRecords: b}}
 	}
 	return out
 }

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
-	"os"
 	"reflect"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,24 +17,9 @@ import (
 	"prophet/internal/workloads"
 )
 
-// The execution-shape matrix under test. CI pins the full grid explicitly;
-// the defaults cover the same cells so a plain `go test ./...` proves the
-// whole contract too.
-var (
-	blocksFlag  = flag.String("difftest.blocks", "1,64,4096", "comma-separated block sizes to diff against the sequential reference")
-	workersFlag = flag.String("difftest.workers", "1,4", "comma-separated intra-run worker counts to diff against the sequential reference")
-)
-
-// TestMain raises GOMAXPROCS so the parallel execution shapes genuinely run
-// their goroutine paths (decode-ahead, sharded reset) even on single-CPU
-// runners, where load deration would otherwise collapse every request to 1.
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
-	os.Exit(m.Run())
-}
+// The block sizes under test. CI pins them explicitly; the default covers
+// the same sizes so a plain `go test ./...` proves the whole contract too.
+var blocksFlag = flag.String("difftest.blocks", "1,64,4096", "comma-separated block sizes to diff against the sequential reference")
 
 func parseList(t *testing.T, s string) []int {
 	var out []int
@@ -50,8 +33,8 @@ func parseList(t *testing.T, s string) []int {
 	return out
 }
 
-func matrix(t *testing.T) []Variant {
-	return Matrix(parseList(t, *blocksFlag), parseList(t, *workersFlag))
+func variants(t *testing.T) []Variant {
+	return Blocks(parseList(t, *blocksFlag))
 }
 
 // corpusCells mirrors the golden-fixture corpus at the repository root: one
@@ -99,12 +82,12 @@ func runCorpus(t *testing.T, opts sim.Opts) []pipeline.Outcome {
 }
 
 // TestCorpusEquivalence is the harness's core claim: every golden-corpus
-// cell, replayed through every block size x worker count in the matrix,
-// produces Stats bit-identical to the record-at-a-time sequential reference
-// — scheme results, cached baselines, and scheme metadata alike.
+// cell, replayed at every block size, produces Stats bit-identical to the
+// record-at-a-time sequential reference — scheme results, cached
+// baselines, and scheme metadata alike.
 func TestCorpusEquivalence(t *testing.T) {
 	ref := runCorpus(t, Sequential.Opts)
-	for _, v := range matrix(t) {
+	for _, v := range variants(t) {
 		t.Run(v.Name, func(t *testing.T) {
 			got := runCorpus(t, v.Opts)
 			for i, cell := range corpusCells {
@@ -126,8 +109,8 @@ func TestCorpusEquivalence(t *testing.T) {
 
 // TestGeneratedWorkloadEquivalence widens coverage beyond the corpus: every
 // cataloged generated workload, under both the bare system and a stateful
-// temporal engine, through the full matrix. Trace lengths are short — the
-// point is breadth of access patterns, not depth.
+// temporal engine, at every block size. Trace lengths are short — the point
+// is breadth of access patterns, not depth.
 func TestGeneratedWorkloadEquivalence(t *testing.T) {
 	cfg := sim.Default()
 	const records = 4_000
@@ -138,7 +121,7 @@ func TestGeneratedWorkloadEquivalence(t *testing.T) {
 		{"baseline", func() *triage.Prefetcher { return nil }},
 		{"triage", func() *triage.Prefetcher { return triage.New(triage.Default()) }},
 	}
-	vs := matrix(t)
+	vs := variants(t)
 	for _, w := range workloads.All() {
 		recs := mem.Materialize(w.Source(records))
 		for _, eng := range engines {
@@ -163,11 +146,11 @@ func TestGeneratedWorkloadEquivalence(t *testing.T) {
 	}
 }
 
-// TestTraceDecodeAheadEquivalence runs the matrix over a native trace
-// stream, the one source family that engages the decode-ahead pipeline
-// (in-memory slices bypass it). Every shape must see the exact record
-// sequence the blocking reader would deliver.
-func TestTraceDecodeAheadEquivalence(t *testing.T) {
+// TestTraceReaderBlockEquivalence replays every block size over a streaming
+// native TraceReader, whose NextBlock decodes straight from the byte stream
+// instead of slicing an in-memory trace. Every shape must see the exact
+// record sequence the record-at-a-time reader delivers.
+func TestTraceReaderBlockEquivalence(t *testing.T) {
 	w, ok := workloads.Get("omnetpp")
 	if !ok {
 		t.Fatal("unknown workload omnetpp")
@@ -186,7 +169,7 @@ func TestTraceDecodeAheadEquivalence(t *testing.T) {
 	}
 	cfg := sim.Default()
 	ref := sim.RunOpts(cfg, Sequential.Opts, nil, nil, nil, nil, open())
-	for _, v := range matrix(t) {
+	for _, v := range variants(t) {
 		got := sim.RunOpts(cfg, v.Opts, nil, nil, nil, nil, open())
 		if d := Diff(ref, got); d != nil {
 			t.Errorf("trace replay at %s diverged:\n  %s", v.Name, strings.Join(d, "\n  "))
@@ -195,7 +178,7 @@ func TestTraceDecodeAheadEquivalence(t *testing.T) {
 }
 
 // TestMixedOptsPoolStress hammers one configuration's scratch pools with
-// concurrent runs at mixed execution shapes. The pools are keyed by
+// concurrent runs at mixed block sizes. The pools are keyed by
 // (Config, Opts), so no run may ever receive scratch prepared for a
 // different shape — under -race this catches pool cross-contamination, and
 // the stats check catches any state bleed between shapes.
@@ -207,10 +190,10 @@ func TestMixedOptsPoolStress(t *testing.T) {
 	}
 	recs := mem.Materialize(w.Source(5_000))
 	ref := sim.RunOpts(cfg, Sequential.Opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
-	variants := append([]Variant{Sequential}, matrix(t)...)
+	vs := append([]Variant{Sequential}, variants(t)...)
 	var wg sync.WaitGroup
 	for round := 0; round < 2; round++ {
-		for _, v := range variants {
+		for _, v := range vs {
 			wg.Add(1)
 			go func(v Variant) {
 				defer wg.Done()
@@ -226,19 +209,19 @@ func TestMixedOptsPoolStress(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzRunParallelism lets the fuzzer pick the execution shape: an arbitrary
-// block size (including negative = sequential and absurdly large) and worker
-// count over an arbitrary cataloged workload must reproduce the sequential
-// reference exactly.
-func FuzzRunParallelism(f *testing.F) {
-	f.Add(uint8(0), uint16(1000), 1, uint8(2))
-	f.Add(uint8(1), uint16(2000), 4096, uint8(4))
-	f.Add(uint8(2), uint16(500), -7, uint8(0))
-	f.Add(uint8(3), uint16(3000), 64, uint8(255))
-	f.Add(uint8(4), uint16(1), 1<<14, uint8(1))
+// FuzzRunBlocks lets the fuzzer pick the execution shape: an arbitrary
+// block size (including negative = sequential and absurdly large) over an
+// arbitrary cataloged workload must reproduce the sequential reference
+// exactly.
+func FuzzRunBlocks(f *testing.F) {
+	f.Add(uint8(0), uint16(1000), 1)
+	f.Add(uint8(1), uint16(2000), 4096)
+	f.Add(uint8(2), uint16(500), -7)
+	f.Add(uint8(3), uint16(3000), 64)
+	f.Add(uint8(4), uint16(1), 1<<14)
 	cfg := sim.Default()
 	all := workloads.All()
-	f.Fuzz(func(t *testing.T, wsel uint8, records uint16, block int, workers uint8) {
+	f.Fuzz(func(t *testing.T, wsel uint8, records uint16, block int) {
 		w := all[int(wsel)%len(all)]
 		// Bound the block size (it sizes the scratch buffer) but keep the
 		// sign, so negative = sequential stays reachable.
@@ -246,10 +229,9 @@ func FuzzRunParallelism(f *testing.F) {
 		n := uint64(records)%4_096 + 1
 		recs := mem.Materialize(w.Source(n))
 		ref := sim.RunOpts(cfg, Sequential.Opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
-		opts := sim.Opts{BlockRecords: block, Parallelism: int(workers)}
-		got := sim.RunOpts(cfg, opts, nil, nil, nil, nil, mem.NewSliceSource(recs))
+		got := sim.RunOpts(cfg, sim.Opts{BlockRecords: block}, nil, nil, nil, nil, mem.NewSliceSource(recs))
 		if d := Diff(ref, got); d != nil {
-			t.Errorf("%s at block=%d workers=%d diverged:\n  %s", w.Name, block, workers, strings.Join(d, "\n  "))
+			t.Errorf("%s at block=%d diverged:\n  %s", w.Name, block, strings.Join(d, "\n  "))
 		}
 	})
 }

@@ -73,7 +73,7 @@ import (
 //
 // Beyond the catalog, a "file:<path>" name replays an exported trace file
 // (cmd/tracegen output, plain or gzip), and an ingest-format prefix
-// ("champsim:<path>", "csv:<path>") streams an external trace through the
+// ("champsim:<path>", "csv:<path>") decodes an external trace through the
 // internal/ingest converters — so recorded and third-party traces run
 // through the same Evaluator/Sweep/daemon machinery as generated ones.
 // Sources lists the full prefix table.
@@ -177,12 +177,14 @@ func (w Workload) factory() (pipeline.SourceFactory, error) {
 		}, nil
 	}
 	if f, path, ok := ingest.Split(w.Name); ok {
-		// External traces are streamed, not materialized: each pass
-		// re-opens and re-decodes the file in O(block) memory. Because
-		// mem.Source has no error channel, a full validation pass runs
-		// here at resolution time (cached by size/mtime, metadata only),
-		// so corrupt or truncated traces fail loudly before any
-		// simulation consumes a silently short stream.
+		// The factory streams the file: each call re-opens and
+		// re-decodes it in O(block) memory. Evaluator and Session passes
+		// wrap it in the pipeline's materialized-trace store, so they
+		// decode it once per key; only this validation pass always
+		// streams. Because mem.Source has no error channel, the full
+		// validation pass runs here at resolution time (cached by
+		// size/mtime, metadata only), so corrupt or truncated traces fail
+		// loudly before any simulation consumes a silently short stream.
 		if _, err := ingestCountCached(f, path); err != nil {
 			return nil, fmt.Errorf("prophet: workload %q: %w", w.Name, err)
 		}

@@ -48,11 +48,25 @@ func (e *Evaluator) NewSession() *Session {
 // order). Services that expose sessions as resources key them by it.
 func (s *Session) ID() uint64 { return s.id }
 
+// source resolves w to a trace factory over the process-wide
+// materialized-trace store the Evaluator replays, so every Session pass —
+// profile, hinted run, online run, and the baseline they normalize by —
+// decodes a workload once, however many passes replay it. It also returns
+// the workload's baseline-cache key.
+func (s *Session) source(w Workload) (pipeline.SourceFactory, string, error) {
+	f, err := w.factory()
+	if err != nil {
+		return nil, "", err
+	}
+	key := w.key()
+	return pipeline.CachedFactory(key, f), key, nil
+}
+
 // Profile executes Steps 1 and 3 for one input: run it under the simplified
 // temporal prefetcher, collect PMU counters, and merge them into the
 // persistent profile (Equations 4-5).
 func (s *Session) Profile(w Workload) error {
-	f, err := w.factory()
+	f, _, err := s.source(w)
 	if err != nil {
 		return err
 	}
@@ -93,12 +107,12 @@ func (s *Session) Run(ctx context.Context, b Binary, w Workload) (RunStats, erro
 	if err := ctx.Err(); err != nil {
 		return RunStats{}, err
 	}
-	f, err := w.factory()
+	f, key, err := s.source(w)
 	if err != nil {
 		return RunStats{}, err
 	}
 	cfg := s.e.eng.Config()
-	base := s.e.eng.Baseline(w.key(), f)
+	base := s.e.eng.Baseline(key, f)
 	engine := core.New(cfg.Prophet, b.hints, b.weights)
 	st := sim.RunOpts(cfg.Sim, cfg.Run, engine, nil, nil, nil, f())
 	return summarize(st, base), nil
@@ -128,12 +142,12 @@ func (s *Session) RunOnline(ctx context.Context, w Workload) (OnlineStats, error
 	if err := ctx.Err(); err != nil {
 		return OnlineStats{}, err
 	}
-	f, err := w.factory()
+	f, key, err := s.source(w)
 	if err != nil {
 		return OnlineStats{}, err
 	}
 	cfg := s.e.eng.Config()
-	base := s.e.eng.Baseline(w.key(), f)
+	base := s.e.eng.Baseline(key, f)
 	wr := adaptive.New(adaptive.Default())
 	st := sim.RunOpts(cfg.Sim, cfg.Run, wr, nil, nil, nil, f())
 	return OnlineStats{
